@@ -6,7 +6,8 @@ PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
 .PHONY: test bench bench-kernels kernels-smoke bench-scenario bench-serve \
-	serve-smoke bench-obs obs-smoke ops-smoke bench-scale scale-smoke cov \
+	serve-smoke bench-obs obs-smoke ops-smoke bench-scale scale-smoke \
+	perfbench-smoke cov \
 	regen-golden docs-check checkpoint-smoke lint-docs all
 
 ## Tier-1 test suite (what CI gates on).
@@ -78,6 +79,14 @@ bench-scale:
 ## code paths and the same memory assertions, seconds of wall-clock.
 scale-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTEST) benchmarks/bench_scale.py -q -p no:cacheprovider
+
+## Layer-benchmark smoke (CI): the perfbench suite — every workload on a
+## tiny input, untraced and traced, with its correctness check.  The
+## traced run wraps the repricer's re-solve at
+## repro.core.deadline.adaptive.solve_deadline, so renaming that seam
+## fails here.  ~20s.
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench -q -p no:cacheprovider
 
 ## Coverage gate (CI): line coverage over src/repro with a ratcheted
 ## fail-under floor — raise the threshold when coverage rises, never

@@ -75,7 +75,7 @@ SHARD_REPEATS = 2 if SMOKE else 3
 #: Ratcheted floor: every arm's best-of campaigns/sec must clear it in
 #: full mode (raise when the engine gets faster, never lower).  Smoke
 #: mode only guards against pathological hangs.
-REQUIRED_MIN_CPS = 0.5 if SMOKE else 15.0
+REQUIRED_MIN_CPS = 0.5 if SMOKE else 80.0
 
 #: The 64-campaign solve workload for the batch-vs-scalar comparison:
 #: the four default template shapes, each at 16 distinct forecast levels.

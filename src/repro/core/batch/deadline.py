@@ -14,6 +14,10 @@ group as one stacked tensor computation.  Per time layer ``t`` it builds
   :func:`repro.core.deadline.vectorized.solve_deadline` with a single BLAS
   call per layer.
 
+The first two depend only on the layer's means, so one solve computes
+them once per distinct arrival column and reuses them across every layer
+that repeats it — under a stationary forecast, once per solve.
+
 The recurrence, truncation lengths, absorbing-tail payment, and
 lowest-price tie-breaking all mirror the scalar solvers, so the produced
 tables agree with :func:`~repro.core.deadline.vectorized.solve_deadline`
@@ -52,11 +56,14 @@ def group_key(problem: DeadlineProblem) -> tuple:
 def _solve_group(problems: Sequence[DeadlineProblem]) -> list[DeadlinePolicy]:
     """Solve one same-shaped group of instances as stacked tensors.
 
-    Each backward-induction layer is delegated to
-    :func:`repro.core.batch.kernels.deadline_layer` — the numpy reference
-    by default, the numba-compiled twin under ``REPRO_KERNELS=numba``;
-    the two are exact-equality-tested, so the selection never changes the
-    produced tables.
+    Each backward-induction layer runs on
+    :mod:`repro.core.batch.kernels` — the numpy reference by default, the
+    numba-compiled twin under ``REPRO_KERNELS=numba``; the two are
+    exact-equality-tested, so the selection never changes the produced
+    tables.  A layer's pmf terms depend only on its arrival column
+    ``lam[:, t]``, so layers repeating a column (every layer of a
+    stationary forecast) share one set of terms, held only until the
+    column's last (lowest) layer.
     """
     first = problems[0]
     n_tasks = first.num_tasks
@@ -72,9 +79,20 @@ def _solve_group(problems: Sequence[DeadlineProblem]) -> list[DeadlinePolicy]:
     opt[:, :, n_intervals] = np.stack(
         [p.penalty.terminal_costs(n_tasks) for p in problems]
     )
+    columns = [lam[:, t].tobytes() for t in range(n_intervals)]
+    last_use: dict[bytes, int] = {}  # the sweep runs backwards: lowest t
+    for t, column in enumerate(columns):
+        last_use.setdefault(column, t)
+    memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     for t in range(n_intervals - 1, -1, -1):
-        opt_t, best = kernels.deadline_layer(
-            lam[:, t], probs, prices, opt[:, :, t + 1], eps
+        column = columns[t]
+        terms = memo.pop(column, None)
+        if terms is None:
+            terms = kernels.deadline_layer_terms(lam[:, t], probs, n_tasks, eps)
+        if last_use[column] != t:
+            memo[column] = terms
+        opt_t, best = kernels.deadline_layer_apply(
+            terms, prices, opt[:, :, t + 1]
         )
         opt[:, :, t] = opt_t
         price_index[:, 1:, t] = best[:, 1:]

@@ -1,9 +1,11 @@
 """Compiled hot kernels behind the ``REPRO_KERNELS`` feature flag.
 
 The engine's three hottest inner loops — the batched deadline
-value-iteration layer (:func:`deadline_layer`), the budget solver's lower
-convex hull (:func:`lower_hull_indices`), and the sharded tick's
-completion application (:func:`shard_tick`) — each exist twice here:
+value-iteration layer (:func:`deadline_layer`, in two halves:
+:func:`deadline_layer_terms` and :func:`deadline_layer_apply`), the
+budget solver's lower convex hull (:func:`lower_hull_indices`), and the
+sharded tick's completion application (:func:`shard_tick`) — each exist
+twice here:
 
 * a **numpy** implementation (the reference: exactly the arithmetic the
   vectorized solvers have always performed, in the same operation order),
@@ -31,9 +33,10 @@ Two fallbacks are built into the dispatchers themselves and are part of
 the exactness contract rather than exceptions to it:
 
 * deadline layers containing a Poisson mean at or above the log-space
-  switch (mean >= 700) run the numpy path even under ``numba`` — the
-  log-space pmf needs ``gammaln``, and routing those rare layers through
-  the identical numpy code is what keeps the two paths exactly equal;
+  switch (mean >= 700) compute their pmf terms on the numpy path even
+  under ``numba`` — the log-space pmf needs ``gammaln``, and routing
+  those rare terms through the identical numpy code is what keeps the
+  two paths exactly equal;
 * the hull kernel requires strictly increasing x coordinates (always
   true for a validated price grid) and delegates anything else to the
   general python implementation in :mod:`repro.util.convexhull`.
@@ -57,6 +60,8 @@ __all__ = [
     "available",
     "available_kernels",
     "deadline_layer",
+    "deadline_layer_apply",
+    "deadline_layer_terms",
     "lower_hull_indices",
     "set_kernels",
     "shard_tick",
@@ -79,8 +84,8 @@ except ImportError:  # pragma: no cover - the reference container has none
 
 #: Above this Poisson mean the pmf recurrence underflows at ``s = 0``; the
 #: scalar path (:func:`repro.util.poisson.poisson_pmf_vector`) switches to
-#: log-space there, and the batch kernels route the whole layer through
-#: the numpy implementation (see module docstring).
+#: log-space there, and the batch kernels route the layer's pmf terms
+#: through the numpy implementation (see module docstring).
 LOG_SPACE_MEAN = 700.0
 
 _active: str | None = None
@@ -161,27 +166,30 @@ def use_kernels(name: str | None):
 # ----------------------------------------------------------------------
 # Kernel 1: one time layer of the batched deadline value iteration
 # ----------------------------------------------------------------------
-def _deadline_layer_numpy(
-    means: np.ndarray,
-    pmf0: np.ndarray,
-    prices: np.ndarray,
-    opt_next: np.ndarray,
-    eps: float | None,
+# A layer splits in two halves.  The *terms* (the truncated Poisson pmf
+# tensor and the payment term ``head_paid + n * tail``) depend only on the
+# layer's means, so a solve whose layers repeat a mean vector — every
+# stationary-planning solve — computes them once and reuses them
+# (:func:`repro.core.batch.deadline._solve_group` memoises them per
+# solve).  The *apply* half (Toeplitz continuation, costs, argmin) depends
+# on the next layer's values and runs every layer.  Reuse is exact: the
+# apply half only reads the terms.
+def _layer_terms_numpy(
+    means: np.ndarray, pmf0: np.ndarray, n_tasks: int, eps: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference layer: the exact tensor arithmetic of the PR 2 fast path.
+    """Reference means-only half: ``(pmf, payment)``, both ``(B, C, S)``.
 
-    ``means``/``prices`` are ``(B, C)``, ``opt_next`` is ``(B, S)`` with
-    ``S = num_tasks + 1``; returns ``(opt_t, best)`` where ``opt_t`` is the
-    layer's value vector (``opt_t[:, 0] = 0``) and ``best`` the per-state
-    lowest-cost price index (first minimum = lowest price).
+    ``means`` is ``(B, C)`` and ``S = n_tasks + 1``.  ``pmf`` is the
+    truncated completion-count pmf (zero past each cut-off) and
+    ``payment[b, c, n]`` the expected units paid per unit price from
+    state ``n`` (the head's ``sum s pmf[s]`` plus the absorbing tail).
     """
-    batch, n_tasks = opt_next.shape[0], opt_next.shape[1] - 1
     size = n_tasks + 1
     n_range = np.arange(size)
     # Poisson pmf tensor P[b, c, s]: the stable multiplicative recurrence
-    # seeded by the precomputed pmf0 = exp(-means); callers route layers
-    # containing log-space means (>= LOG_SPACE_MEAN) through
-    # _pmf_log_space first, so the recurrence here never underflows.
+    # seeded by the precomputed pmf0 = exp(-means); means at or above
+    # LOG_SPACE_MEAN are overwritten by the log-space rows, where the
+    # recurrence would underflow.
     pmf = np.empty(means.shape + (size,))
     pmf[..., 0] = pmf0
     for s in range(1, size):
@@ -193,18 +201,6 @@ def _deadline_layer_numpy(
     pmf[n_range[None, None, :] >= lengths[:, :, None]] = 0.0
     prob_cum = np.cumsum(pmf, axis=-1)
     paid_cum = np.cumsum(pmf * n_range, axis=-1)
-    # Toeplitz matrix T[b, s, n] = opt_next[b, n - s] (0 for n < s): the
-    # continuation of every (instance, price) is one batched matmul.
-    # Materialized contiguous: BLAS output on the reversed strided view
-    # differs in the last ulp from the contiguous product, and the numba
-    # twin (plain 2-D ``np.dot``) can only match the contiguous one.
-    padded = np.concatenate([np.zeros((batch, n_tasks)), opt_next], axis=1)
-    toeplitz = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(padded, size, axis=1)[
-            :, ::-1, :
-        ]
-    )
-    conv = pmf @ toeplitz  # (B, C, S)
     # Head of the payment term covers s = 0 .. min(n-1, length-1); the
     # Poisson tail completes all n remaining tasks (absorbing state).
     k = np.minimum(n_range[None, None, :] - 1, lengths[:, :, None] - 1)
@@ -216,12 +212,53 @@ def _deadline_layer_numpy(
         k >= 0, np.take_along_axis(paid_cum, k_safe, axis=-1), 0.0
     )
     tail = np.maximum(0.0, 1.0 - head_prob)
-    costs = prices[:, :, None] * (head_paid + n_range * tail) + conv
+    return pmf, head_paid + n_range * tail
+
+
+def _layer_apply_numpy(
+    pmf: np.ndarray,
+    payment: np.ndarray,
+    prices: np.ndarray,
+    opt_next: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference value-dependent half: ``(opt_t, best)``.
+
+    ``prices`` is ``(B, C)``, ``opt_next`` is ``(B, S)``; returns the
+    layer's value vector (``opt_t[:, 0] = 0``) and the per-state
+    lowest-cost price index (first minimum = lowest price).
+    """
+    batch, n_tasks = opt_next.shape[0], opt_next.shape[1] - 1
+    size = n_tasks + 1
+    n_range = np.arange(size)
+    # Toeplitz matrix T[b, s, n] = opt_next[b, n - s] (0 for n < s): the
+    # continuation of every (instance, price) is one batched matmul.
+    # Materialized C-contiguous (the gather alone is not): BLAS output on
+    # a strided layout differs in the last ulp from the contiguous
+    # product, and the numba twin (plain 2-D ``np.dot``) can only match
+    # the contiguous one.
+    padded = np.concatenate([np.zeros((batch, n_tasks)), opt_next], axis=1)
+    toeplitz = np.ascontiguousarray(
+        padded[:, n_range[None, :] - n_range[:, None] + n_tasks]
+    )
+    conv = pmf @ toeplitz  # (B, C, S)
+    costs = prices[:, :, None] * payment + conv
     costs[:, :, 0] = 0.0
     best = np.argmin(costs, axis=1)  # first minimum = lowest price
-    opt_t = np.take_along_axis(costs, best[:, None, :], axis=1)[:, 0, :]
+    opt_t = costs[np.arange(batch)[:, None], best, n_range]
     opt_t[:, 0] = 0.0
     return opt_t, best
+
+
+def _deadline_layer_numpy(
+    means: np.ndarray,
+    pmf0: np.ndarray,
+    prices: np.ndarray,
+    opt_next: np.ndarray,
+    eps: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference layer: both halves, terms computed fresh."""
+    pmf, payment = _layer_terms_numpy(means, pmf0, opt_next.shape[1] - 1, eps)
+    return _layer_apply_numpy(pmf, payment, prices, opt_next)
 
 
 def _pmf_log_space(means: np.ndarray, s_max: int) -> np.ndarray:
@@ -254,91 +291,95 @@ def _truncation_lengths(
     return np.where(full <= hi, full, s0)
 
 
-def _deadline_layer_loops(
+def _layer_terms_loops(
     means: np.ndarray,
     pmf0: np.ndarray,
-    prices: np.ndarray,
-    opt_next: np.ndarray,
+    n_tasks: int,
     eps: float,
     use_eps: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Loop form of :func:`_deadline_layer_numpy` (the numba source).
+    """Loop form of :func:`_layer_terms_numpy` (a numba source).
 
     Every accumulation runs in the same order as the numpy reference —
-    the pmf recurrence left to right, the cumulative sums left to right,
-    the continuation through the same BLAS ``dot`` — so the jitted
-    function produces bit-identical layers.  Kept importable un-jitted so
-    the equivalence suite can prove the *algorithm* exact even where
-    numba is not installed.
+    the pmf recurrence left to right, the cumulative sums left to right —
+    so the jitted function produces bit-identical terms.  Kept importable
+    un-jitted so the equivalence suite can prove the *algorithm* exact
+    even where numba is not installed.
     """
     batch, n_prices = means.shape
-    size = opt_next.shape[1]
-    n_tasks = size - 1
-    opt_t = np.empty((batch, size))
-    best = np.zeros((batch, size), dtype=np.int64)
-    pmf = np.empty((n_prices, size))
-    prob_cum = np.empty((n_prices, size))
-    paid_cum = np.empty((n_prices, size))
-    lengths = np.empty(n_prices, dtype=np.int64)
-    toeplitz = np.zeros((size, size))
-    costs = np.empty((n_prices, size))
+    size = n_tasks + 1
+    pmf = np.empty((batch, n_prices, size))
+    payment = np.empty((batch, n_prices, size))
+    prob_cum = np.empty(size)
+    paid_cum = np.empty(size)
     for b in range(batch):
-        for s in range(size):
-            for n in range(s, size):
-                toeplitz[s, n] = opt_next[b, n - s]
         for c in range(n_prices):
             m = means[b, c]
-            pmf[c, 0] = pmf0[b, c]
+            pmf[b, c, 0] = pmf0[b, c]
             for s in range(1, size):
-                pmf[c, s] = pmf[c, s - 1] * m / s
+                pmf[b, c, s] = pmf[b, c, s - 1] * m / s
+            length = size
             if use_eps:
                 hi = int(np.floor(m + 12.0 * np.sqrt(m) + 20.0))
-                if size <= hi:
-                    length = size
-                else:
+                if size > hi:
                     count = 0
                     cum = 0.0
                     for s in range(n_tasks):
-                        cum = cum + pmf[c, s]
+                        cum = cum + pmf[b, c, s]
                         if 1.0 - cum >= eps:
                             count += 1
-                    s0 = 1 + count
-                    if s0 < 1:
-                        s0 = 1
-                    if s0 > size:
-                        s0 = size
-                    length = s0
-            else:
-                length = size
-            lengths[c] = length
+                    length = min(1 + count, size)
             for s in range(length, size):
-                pmf[c, s] = 0.0
+                pmf[b, c, s] = 0.0
             cum_p = 0.0
             cum_paid = 0.0
             for s in range(size):
-                cum_p = cum_p + pmf[c, s]
-                cum_paid = cum_paid + pmf[c, s] * s
-                prob_cum[c, s] = cum_p
-                paid_cum[c, s] = cum_paid
-        conv = np.dot(pmf, toeplitz)  # same BLAS call as the batched matmul
-        for c in range(n_prices):
-            length = lengths[c]
-            price = prices[b, c]
-            costs[c, 0] = 0.0
-            for n in range(1, size):
-                k = n - 1
-                if length - 1 < k:
-                    k = length - 1
+                cum_p = cum_p + pmf[b, c, s]
+                cum_paid = cum_paid + pmf[b, c, s] * s
+                prob_cum[s] = cum_p
+                paid_cum[s] = cum_paid
+            for n in range(size):
+                k = min(n - 1, length - 1)
                 if k >= 0:
-                    head_prob = prob_cum[c, k]
-                    head_paid = paid_cum[c, k]
+                    head_prob = prob_cum[k]
+                    head_paid = paid_cum[k]
                 else:
                     head_prob = 0.0
                     head_paid = 0.0
                 tail = 1.0 - head_prob
                 if tail < 0.0:
                     tail = 0.0
-                costs[c, n] = price * (head_paid + n * tail) + conv[c, n]
+                payment[b, c, n] = head_paid + n * tail
+    return pmf, payment
+
+
+def _layer_apply_loops(
+    pmf: np.ndarray,
+    payment: np.ndarray,
+    prices: np.ndarray,
+    opt_next: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loop form of :func:`_layer_apply_numpy` (a numba source).
+
+    The continuation goes through the same BLAS ``dot`` as the batched
+    matmul and the argmin keeps the first minimum, so the jitted function
+    produces bit-identical layers.
+    """
+    batch, n_prices, size = pmf.shape
+    opt_t = np.empty((batch, size))
+    best = np.zeros((batch, size), dtype=np.int64)
+    toeplitz = np.zeros((size, size))
+    costs = np.empty((n_prices, size))
+    for b in range(batch):
+        for s in range(size):
+            for n in range(s, size):
+                toeplitz[s, n] = opt_next[b, n - s]
+        conv = np.dot(pmf[b], toeplitz)  # same BLAS call as the batched matmul
+        for c in range(n_prices):
+            price = prices[b, c]
+            costs[c, 0] = 0.0
+            for n in range(1, size):
+                costs[c, n] = price * payment[b, c, n] + conv[c, n]
         for n in range(size):
             best_c = 0
             best_cost = costs[0, n]
@@ -352,12 +393,86 @@ def _deadline_layer_loops(
     return opt_t, best
 
 
-if HAVE_NUMBA:  # pragma: no cover - compiled only where numba is installed
-    _deadline_layer_jit = numba.njit(cache=True, nogil=True)(
-        _deadline_layer_loops
+def _deadline_layer_loops(
+    means: np.ndarray,
+    pmf0: np.ndarray,
+    prices: np.ndarray,
+    opt_next: np.ndarray,
+    eps: float,
+    use_eps: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loop form of :func:`_deadline_layer_numpy`: both halves, fresh terms."""
+    pmf, payment = _layer_terms_loops(
+        means, pmf0, opt_next.shape[1] - 1, eps, use_eps
     )
+    return _layer_apply_loops(pmf, payment, prices, opt_next)
+
+
+if HAVE_NUMBA:  # pragma: no cover - compiled only where numba is installed
+    _layer_terms_jit = numba.njit(cache=True, nogil=True)(_layer_terms_loops)
+    _layer_apply_jit = numba.njit(cache=True, nogil=True)(_layer_apply_loops)
 else:
-    _deadline_layer_jit = None
+    _layer_terms_jit = None
+    _layer_apply_jit = None
+
+
+def deadline_layer_terms(
+    lam_t: np.ndarray, probs: np.ndarray, n_tasks: int, eps: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The means-only half of one layer: ``(pmf, payment)`` tensors.
+
+    Parameters
+    ----------
+    lam_t:
+        ``(B,)`` forecast arrivals for the layer's interval.
+    probs:
+        ``(B, C)`` acceptance probabilities per price.
+    n_tasks:
+        Batch size ``N``; the tensors are ``(B, C, N + 1)``.
+    eps:
+        Poisson truncation threshold (``None`` disables truncation).
+
+    The result depends only on ``lam_t`` (given fixed ``probs``, ``n_tasks``
+    and ``eps``), so layers sharing a mean vector may share it; pass it to
+    :func:`deadline_layer_apply`, which never writes to it.
+    """
+    means = lam_t[:, None] * probs
+    pmf0 = np.exp(-means)
+    if (
+        _layer_terms_jit is not None
+        and active() == "numba"
+        and not np.any(means >= LOG_SPACE_MEAN)
+    ):
+        return _layer_terms_jit(
+            np.ascontiguousarray(means),
+            np.ascontiguousarray(pmf0),
+            n_tasks,
+            eps if eps is not None else 0.0,
+            eps is not None,
+        )
+    return _layer_terms_numpy(means, pmf0, n_tasks, eps)
+
+
+def deadline_layer_apply(
+    terms: tuple[np.ndarray, np.ndarray],
+    prices: np.ndarray,
+    opt_next: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The value-dependent half of one layer: ``(opt_t, best)``.
+
+    ``terms`` comes from :func:`deadline_layer_terms`, ``prices`` is
+    ``(B, C)`` and ``opt_next`` the next layer's ``(B, S)`` value vectors;
+    returns the layer's ``(B, S)`` value vectors and price indices.
+    """
+    pmf, payment = terms
+    if _layer_apply_jit is not None and active() == "numba":
+        return _layer_apply_jit(
+            pmf,
+            payment,
+            np.ascontiguousarray(prices),
+            np.ascontiguousarray(opt_next),
+        )
+    return _layer_apply_numpy(pmf, payment, prices, opt_next)
 
 
 def deadline_layer(
@@ -369,40 +484,17 @@ def deadline_layer(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One backward-induction layer of the batched deadline solve.
 
-    Parameters
-    ----------
-    lam_t:
-        ``(B,)`` forecast arrivals for the layer's interval.
-    probs:
-        ``(B, C)`` acceptance probabilities per price.
-    prices:
-        ``(B, C)`` price grids.
-    opt_next:
-        ``(B, S)`` next layer's value vectors (``S = num_tasks + 1``).
-    eps:
-        Poisson truncation threshold (``None`` disables truncation).
+    Both halves with fresh terms; arguments as in
+    :func:`deadline_layer_terms` and :func:`deadline_layer_apply`
+    (``opt_next`` is ``(B, S)`` with ``S = num_tasks + 1``).
 
     Returns
     -------
     (opt_t, best):
         The layer's ``(B, S)`` value vectors and ``(B, S)`` price indices.
     """
-    means = lam_t[:, None] * probs
-    pmf0 = np.exp(-means)
-    if (
-        _deadline_layer_jit is not None
-        and active() == "numba"
-        and not np.any(means >= LOG_SPACE_MEAN)
-    ):
-        return _deadline_layer_jit(
-            np.ascontiguousarray(means),
-            np.ascontiguousarray(pmf0),
-            np.ascontiguousarray(prices),
-            np.ascontiguousarray(opt_next),
-            eps if eps is not None else 0.0,
-            eps is not None,
-        )
-    return _deadline_layer_numpy(means, pmf0, prices, opt_next, eps)
+    terms = deadline_layer_terms(lam_t, probs, opt_next.shape[1] - 1, eps)
+    return deadline_layer_apply(terms, prices, opt_next)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,11 @@ Three solvers, all computing the same table:
   truncated convolutions (production solver).
 * :func:`solve_deadline_efficient` — Algorithm 2: divide-and-conquer over
   ``n`` exploiting the monotonicity of ``Price(n, t)`` (Conjecture 1).
+
+The online path — :class:`~repro.core.deadline.adaptive.AdaptiveRepricer`
+re-solving the remaining horizon mid-flight — runs its re-solves on the
+production batch kernel (:func:`repro.core.batch.solve_deadline_batch`,
+a batch of one), the same kernel the engine's admission path uses.
 """
 
 from repro.core.deadline.efficient_dp import solve_deadline_efficient

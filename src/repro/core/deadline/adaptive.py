@@ -11,19 +11,32 @@ and the re-solved prices compensate.
 
 Re-solving every interval costs one suffix DP per interval; a cache keyed
 by (interval, quantized factor) keeps repeated factors free, and
-``resolve_every`` trades adaptivity for compute.
+``resolve_every`` trades adaptivity for compute.  Each re-solve runs on the
+production batch kernel (:func:`~repro.core.batch.deadline.solve_deadline_batch`
+as a batch of one), whose per-solve pmf memo makes a stationary-forecast
+suffix pay for its Poisson pmfs once rather than once per interval.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.batch.deadline import solve_deadline_batch
 from repro.core.deadline.model import DeadlineProblem
-from repro.core.deadline.vectorized import solve_deadline
+from repro.core.deadline.policy import DeadlinePolicy
 from repro.market.adaptive import AdaptiveRatePredictor
 from repro.sim.policies import PricingRuntime
 
-__all__ = ["AdaptiveRepricer"]
+__all__ = ["AdaptiveRepricer", "solve_deadline"]
+
+
+def solve_deadline(problem: DeadlineProblem) -> DeadlinePolicy:
+    """Solve one suffix MDP on the batch kernel (a batch of one).
+
+    :meth:`AdaptiveRepricer._solve_suffix` looks this name up at call
+    time, so profilers and tests can wrap or replace the re-solve here.
+    """
+    return solve_deadline_batch([problem])[0]
 
 
 class AdaptiveRepricer(PricingRuntime):

@@ -9,9 +9,13 @@ continuation term
 is a (truncated) discrete convolution of the next layer's value vector with
 the completion-count pmf — one ``numpy.convolve`` per (interval, price) —
 and the payment term decomposes into running sums of ``s * pmf[s]`` plus an
-absorbing tail paying ``n * c``.  The result is bit-for-bit the same table
-as :func:`repro.core.deadline.simple_dp.solve_deadline_simple` (ties broken
-toward lower prices in both), at a fraction of the cost.
+absorbing tail paying ``n * c``.  The result matches
+:func:`repro.core.deadline.simple_dp.solve_deadline_simple` — the same
+price table (ties broken toward lower prices in both) and values equal to
+float tolerance (the equivalence suite asserts ``allclose`` with
+``rtol = atol = 1e-12``; summation order differs) — at a fraction of the
+cost.  The adaptive repricer's re-solves run on the batch kernel instead
+(:mod:`repro.core.deadline.adaptive`).
 """
 
 from __future__ import annotations
@@ -61,9 +65,10 @@ def _layer_costs(
 def solve_deadline(problem: DeadlineProblem) -> DeadlinePolicy:
     """Solve the fixed-deadline MDP (Section 3.1), vectorized.
 
-    Returns the same table as Algorithm 1.  Complexity per time layer is
-    ``O(C * N * s0)`` with ``s0`` the truncation cut-off — the Section 3.2
-    speed-up falls out of the shortened convolutions.
+    Returns Algorithm 1's table, values to float tolerance.  Complexity
+    per time layer is ``O(C * N * s0)`` with ``s0`` the truncation
+    cut-off — the Section 3.2 speed-up falls out of the shortened
+    convolutions.
     """
     n_tasks = problem.num_tasks
     n_intervals = problem.num_intervals

@@ -15,6 +15,8 @@ and end-to-end solver equality under each mode.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from repro.core.batch.budget import BudgetRequest
 from repro.core.batch.kernels import (
     _deadline_layer_loops,
     _deadline_layer_numpy,
+    _layer_apply_loops,
+    _layer_terms_loops,
     _lower_hull_loops,
     _shard_tick_loops,
     _shard_tick_numpy,
@@ -30,6 +34,7 @@ from repro.core.batch.kernels import (
 from repro.market.acceptance import LogitAcceptance
 from repro.util.convexhull import lower_convex_hull
 
+from tests.conftest import make_problem
 from tests.core.batch.test_batch_deadline import random_problem
 from tests.kernel_modes import KERNEL_MODES, kernel_mode
 
@@ -100,6 +105,150 @@ class TestDeadlineLayerKernel:
         for a, b in zip(ref, out):
             assert np.array_equal(a.opt, b.opt)
             assert np.array_equal(a.price_index, b.price_index)
+
+
+def unmemoised_sweep(problems) -> tuple[np.ndarray, np.ndarray]:
+    """The batch solve's backward sweep with fresh pmf terms every layer."""
+    first = problems[0]
+    n_tasks, n_intervals = first.num_tasks, first.num_intervals
+    lam = np.stack([p.arrival_means for p in problems])
+    prices = np.stack([p.price_grid for p in problems])
+    probs = np.stack([p.acceptance_probabilities() for p in problems])
+    opt = np.zeros((len(problems), n_tasks + 1, n_intervals + 1))
+    price_index = np.zeros((len(problems), n_tasks + 1, n_intervals), dtype=int)
+    opt[:, :, n_intervals] = np.stack(
+        [p.penalty.terminal_costs(n_tasks) for p in problems]
+    )
+    for t in range(n_intervals - 1, -1, -1):
+        opt_t, best = kernels.deadline_layer(
+            lam[:, t], probs, prices, opt[:, :, t + 1], first.truncation_eps
+        )
+        opt[:, :, t] = opt_t
+        price_index[:, 1:, t] = best[:, 1:]
+    return opt, price_index
+
+
+def stationary_group(rng, *, eps=1e-9, low=0.0, high=120.0):
+    """Three same-shaped instances, each with one mean for every layer."""
+    base = dataclasses.replace(random_problem(rng), truncation_eps=eps)
+    return [
+        base.with_arrival_means(
+            np.full(base.num_intervals, rng.uniform(low, high))
+        )
+        for _ in range(3)
+    ]
+
+
+class TestLayerTermsMemo:
+    """Memoised pmf terms give exactly the unmemoised solve's tables."""
+
+    def assert_memo_exact(self, problems):
+        opt, price_index = unmemoised_sweep(problems)
+        for b, policy in enumerate(solve_deadline_batch(problems)):
+            assert np.array_equal(policy.price_index, price_index[b])
+            assert np.array_equal(policy.opt, opt[b])  # exact, not allclose
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stationary_means(self, mode, seed):
+        problems = stationary_group(np.random.default_rng(300 + seed))
+        with kernel_mode(mode):
+            self.assert_memo_exact(problems)
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sliced_means_every_layer_distinct(self, mode, seed):
+        # A repricer-style suffix: a slice of a non-stationary forecast,
+        # scaled by a correction factor; no two layers share a column.
+        rng = np.random.default_rng(400 + seed)
+        base = random_problem(rng)
+        anchor = int(rng.integers(0, base.num_intervals - 1))
+        suffix = base.arrival_means[anchor:] * rng.uniform(0.3, 1.7)
+        assert np.unique(suffix).size == suffix.size
+        with kernel_mode(mode):
+            self.assert_memo_exact([base.with_arrival_means(suffix)])
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    @pytest.mark.parametrize("partner", ["repeating", "distinct"])
+    def test_repeating_columns_across_gaps(self, mode, partner):
+        # Columns that recur after other layers: entries must survive
+        # until their lowest layer, then be dropped.  A column is the
+        # whole batch's means: with a partner whose means never repeat,
+        # no layer may reuse another's terms.
+        rng = np.random.default_rng(7)
+        base = random_problem(rng)
+        pattern = np.resize([40.0, 75.0, 40.0, 10.0, 75.0], base.num_intervals)
+        other = (
+            pattern * 0.5
+            if partner == "repeating"
+            else rng.uniform(5.0, 90.0, base.num_intervals)
+        )
+        with kernel_mode(mode):
+            self.assert_memo_exact(
+                [base.with_arrival_means(pattern),
+                 base.with_arrival_means(other)]
+            )
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    def test_log_space_means(self, mode):
+        problems = [
+            make_problem(num_tasks=12, arrival_means=[lam] * 5, max_price=15.0)
+            for lam in (4e5, 80.0)
+        ]
+        means = 4e5 * problems[0].acceptance_probabilities()
+        assert np.any(means >= kernels.LOG_SPACE_MEAN)
+        with kernel_mode(mode):
+            self.assert_memo_exact(problems)
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_truncation(self, mode, seed):
+        problems = stationary_group(np.random.default_rng(500 + seed), eps=None)
+        with kernel_mode(mode):
+            self.assert_memo_exact(problems)
+
+    def test_terms_computed_once_per_distinct_column(self, monkeypatch):
+        calls = []
+        terms = kernels.deadline_layer_terms
+
+        def counting(lam_t, *args):
+            calls.append(lam_t.tobytes())
+            return terms(lam_t, *args)
+
+        monkeypatch.setattr(kernels, "deadline_layer_terms", counting)
+        rng = np.random.default_rng(11)
+        solve_deadline_batch(stationary_group(rng))
+        assert len(calls) == 1
+        base = random_problem(rng)
+        pattern = np.resize([40.0, 75.0, 40.0, 10.0, 75.0], base.num_intervals)
+        calls.clear()
+        solve_deadline_batch([base.with_arrival_means(pattern)])
+        assert len(calls) == len(set(calls)) == np.unique(pattern).size
+
+    @pytest.mark.parametrize("eps", [None, 1e-9, 1e-2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loop_form_reused_terms(self, eps, seed):
+        # The numba sources, un-jitted: one set of terms applied to every
+        # layer equals fresh terms per layer and the numpy reference.
+        rng = np.random.default_rng(600 + seed)
+        means, pmf0, prices, opt_next, _ = random_layer(rng)
+        n_tasks = opt_next.shape[1] - 1
+        use_eps, eps_value = eps is not None, eps if eps is not None else 0.0
+        terms = _layer_terms_loops(means, pmf0, n_tasks, eps_value, use_eps)
+        for _ in range(4):
+            memo_opt, memo_best = _layer_apply_loops(*terms, prices, opt_next)
+            loop_opt, loop_best = _deadline_layer_loops(
+                means, pmf0, prices, opt_next, eps_value, use_eps
+            )
+            ref_opt, ref_best = _deadline_layer_numpy(
+                means, pmf0, prices, opt_next, eps
+            )
+            assert np.array_equal(memo_best, loop_best)
+            assert np.array_equal(memo_best, ref_best)
+            assert np.array_equal(memo_opt, loop_opt)
+            assert np.array_equal(memo_opt, ref_opt)
+            opt_next = memo_opt + rng.uniform(0.0, 50.0, opt_next.shape)
+            opt_next[:, 0] = 0.0
 
 
 class TestHullKernel:

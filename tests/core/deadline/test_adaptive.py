@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.deadline import adaptive as adaptive_module
 from repro.core.deadline.adaptive import AdaptiveRepricer
 from repro.core.deadline.vectorized import solve_deadline
 from repro.sim.policies import TablePolicyRuntime
 from repro.sim.simulator import DeadlineSimulation
 
 from tests.conftest import make_problem
+from tests.core.batch.test_batch_deadline import random_problem
 
 
 @pytest.fixture
@@ -101,3 +103,73 @@ class TestEndToEnd:
 
     def test_repr(self, problem):
         assert "AdaptiveRepricer" in repr(AdaptiveRepricer(problem))
+
+
+def drive(
+    problem, observed, remaining, resolve_every, start=0, stop=None, state=None
+):
+    """Price and observe intervals ``start..stop-1`` of one run; returns the
+    posted prices and the repricer (optionally resumed from ``state``)."""
+    repricer = AdaptiveRepricer(problem, resolve_every=resolve_every)
+    if state is not None:
+        repricer.import_state(state)
+    prices = []
+    for t in range(start, problem.num_intervals if stop is None else stop):
+        prices.append(repricer.price(int(remaining[t]), t))
+        repricer.observe(t, float(observed[t]))
+    return prices, repricer
+
+
+def random_run(seed: int):
+    """A randomized instance, a drifting arrival trace and a backlog path."""
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng)
+    # Busy enough that the cheaper grid prices are in play.
+    problem = problem.with_arrival_means(
+        problem.arrival_means * rng.uniform(10.0, 80.0)
+    )
+    horizon = problem.num_intervals
+    drift = np.exp(np.cumsum(rng.normal(0.0, 0.35, horizon)))
+    observed = problem.arrival_means * drift * rng.uniform(0.2, 1.8)
+    done = rng.integers(0, 3, horizon)
+    remaining = np.maximum(problem.num_tasks - np.cumsum(done), 1)
+    return problem, observed, remaining
+
+
+class TestBatchKernelResolves:
+    """Re-solves on the batch kernel price exactly like the scalar solver."""
+
+    @pytest.mark.parametrize("resolve_every", [1, 3])
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_vectorized_solver(self, monkeypatch, seed, resolve_every):
+        problem, observed, remaining = random_run(seed)
+        prices, repricer = drive(problem, observed, remaining, resolve_every)
+        with monkeypatch.context() as patch:
+            patch.setattr(adaptive_module, "solve_deadline", solve_deadline)
+            ref_prices, ref = drive(problem, observed, remaining, resolve_every)
+        assert prices == ref_prices
+        assert repricer.num_solves == ref.num_solves >= 1
+        state, ref_state = repricer.export_state(), ref.export_state()
+        assert state["cache"].keys() == ref_state["cache"].keys()
+        for key, table in state["cache"].items():
+            assert np.array_equal(table, ref_state["cache"][key])
+
+    @pytest.mark.parametrize("resolve_every", [1, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_export_import_round_trip(self, monkeypatch, seed, resolve_every):
+        problem, observed, remaining = random_run(100 + seed)
+        whole, repricer = drive(problem, observed, remaining, resolve_every)
+        split = problem.num_intervals // 2
+        _, head = drive(problem, observed, remaining, resolve_every, stop=split)
+        state = head.export_state()
+        tail, resumed = drive(
+            problem, observed, remaining, resolve_every, start=split, state=state
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(adaptive_module, "solve_deadline", solve_deadline)
+            ref_tail, ref = drive(
+                problem, observed, remaining, resolve_every,
+                start=split, state=state,
+            )
+        assert tail == whole[split:] == ref_tail
+        assert resumed.num_solves == repricer.num_solves == ref.num_solves

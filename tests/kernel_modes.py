@@ -27,7 +27,8 @@ from repro.core.batch import kernels
 KERNEL_MODES = ("numpy", "numba")
 
 _JIT_SLOTS = (
-    ("_deadline_layer_jit", "_deadline_layer_loops"),
+    ("_layer_terms_jit", "_layer_terms_loops"),
+    ("_layer_apply_jit", "_layer_apply_loops"),
     ("_lower_hull_jit", "_lower_hull_loops"),
     ("_shard_tick_jit", "_shard_tick_loops"),
 )
