@@ -387,12 +387,7 @@ class AnalyticsDB:
 
     def load_event_log(self, path) -> "AnalyticsDB":
         """Copy an event-log sqlite file's rows into the ``events`` table."""
-        reader = EventLog.read(path)
-        rows = [
-            (e.seq, e.tick, e.kind, e.campaign_id, e.client, e.trace_id,
-             json.dumps(e.payload, sort_keys=True))
-            for e in reader.events()
-        ]
+        rows = [(e.seq,) + e.to_row() for e in EventLog.read(path).events()]
         if rows:
             self.conn.executemany(
                 "INSERT INTO events VALUES (?, ?, ?, ?, ?, ?, ?)", rows

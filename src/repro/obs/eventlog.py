@@ -10,16 +10,21 @@ The log's job is twofold:
    ``seq`` greater than the last checkpoint's recorded ``last_seq`` are
    exactly the request tail :mod:`repro.obs.recovery` must replay.
 
-Writes never run on the tick path.  :meth:`EventLog.append` assigns a
-sequence number, drops the event into a bounded in-memory buffer, and
-returns; a background writer thread drains the buffer in batches, one
-sqlite transaction per batch.  Backpressure is blocking: if producers
-outrun the writer the buffer fills and ``append`` waits — events are
-never silently dropped.  The engine's tick-boundary hooks call
-:meth:`flush` (wake the writer now, don't wait) and checkpoint saves
-call :meth:`sync` (wait until every appended event is committed, so the
-recorded ``last_seq`` is durable before the manifest renames into
-place).
+Writes never run on the tick path.  :meth:`EventLog.log` (and
+:meth:`EventLog.append`) assigns a sequence number, drops one plain
+tuple row into a bounded in-memory buffer, and returns; a background
+writer thread drains the buffer in batches.  The writer JSON-encodes the
+payloads, packs the batch into one JSON array, and commits it as a
+single ``INSERT ... SELECT ... FROM json_each(?)`` statement, so sqlite
+runs the whole batch in one step without holding the GIL the producers
+need.  That needs SQLite >= 3.38 (the ``->>`` operator); an older
+library makes :class:`EventLog` raise :class:`EventLogError` at open.
+Backpressure is blocking: if producers outrun the writer the buffer
+fills and ``log`` waits — events are never silently dropped.  The
+engine's tick-boundary hooks call :meth:`flush` (wake the writer now,
+don't wait) and checkpoint saves call :meth:`sync` (wait until every
+appended event is committed, so the recorded ``last_seq`` is durable
+before the manifest renames into place).
 
 Durability model: sqlite WAL journal.  Each writer transaction appends
 to the WAL; a killed process loses nothing already committed, and an
@@ -31,14 +36,15 @@ so producers can record "everything up to seq N" markers synchronously.
 
 from __future__ import annotations
 
-import dataclasses
+import json
 import logging
 import pathlib
 import sqlite3
 import threading
 from collections import deque
+from contextlib import closing, suppress
 
-from repro.obs.events import EVENT_KINDS, Event
+from repro.obs.events import Event, check_kind, encode_payload
 
 __all__ = ["EventLog", "EventLogError"]
 
@@ -60,12 +66,77 @@ CREATE INDEX IF NOT EXISTS idx_events_tick ON events (tick);
 
 _COLUMNS = "seq, tick, kind, campaign_id, client, trace_id, payload"
 
+#: One batch, one statement: the batch is bound as a JSON array of rows.
+_INSERT = f"INSERT INTO events ({_COLUMNS}) SELECT " + ", ".join(
+    f"value->>{i}" for i in range(7)
+) + " FROM json_each(?)"
+
+#: Encodes a batch.  Text stays UTF-8 (a lone surrogate fails the bind
+#: as before); sqlite decodes every JSON escape but ``\u0000`` exactly.
+_encode_batch = json.JSONEncoder(ensure_ascii=False).encode
+
 
 class EventLogError(RuntimeError):
-    """The background writer failed; the log is unusable."""
+    """The log is unusable: its writer failed, it is closed, or the
+    linked SQLite cannot run the writer's statement."""
 
 
-class EventLog:
+class _EventLogReader:
+    """Read-only view over a log file; safe on logs of dead processes.
+
+    :class:`EventLog` inherits this read API.  Each call opens a
+    short-lived connection (WAL lets readers run while a writer commits),
+    and only committed events are visible.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = pathlib.Path(path)
+        if not self.path.exists():
+            raise FileNotFoundError(f"no event log at {self.path}")
+
+    @property
+    def last_seq(self) -> int:
+        """Highest committed sequence number (0 if none)."""
+        with closing(sqlite3.connect(self.path)) as conn:
+            row = conn.execute("SELECT MAX(seq) FROM events").fetchone()
+        return row[0] or 0
+
+    def events(
+        self,
+        since: int = 0,
+        kind: str | None = None,
+        limit: int | None = None,
+    ) -> list[Event]:
+        """Committed events with ``seq > since``, ascending.
+
+        ``kind`` filters to one event kind; ``limit`` caps the result.
+        On a live :class:`EventLog`, call :meth:`~EventLog.sync` first to
+        read everything appended.
+        """
+        sql = f"SELECT {_COLUMNS} FROM events WHERE seq > ?"
+        params: list = [since]
+        if kind is not None:
+            check_kind(kind)
+            sql += " AND kind = ?"
+            params.append(kind)
+        sql += " ORDER BY seq"
+        if limit is not None:
+            sql += " LIMIT ?"
+            params.append(limit)
+        with closing(sqlite3.connect(self.path)) as conn:
+            return [Event.from_row(row) for row in conn.execute(sql, params)]
+
+    def count(self, kind: str | None = None) -> int:
+        """Number of committed events (optionally of one kind)."""
+        with closing(sqlite3.connect(self.path)) as conn:
+            if kind is None:
+                return conn.execute("SELECT COUNT(*) FROM events").fetchone()[0]
+            return conn.execute(
+                "SELECT COUNT(*) FROM events WHERE kind = ?", (kind,)
+            ).fetchone()[0]
+
+
+class EventLog(_EventLogReader):
     """Append-only event log with a batched background writer.
 
     Parameters
@@ -102,6 +173,14 @@ class EventLog:
         self.batch_size = batch_size
 
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
+        try:
+            self._conn.execute("SELECT value->>0 FROM json_each('[[1]]')")
+        except sqlite3.OperationalError as exc:
+            self._conn.close()
+            raise EventLogError(
+                "the event log needs SQLite >= 3.38 with JSON support; "
+                f"linked SQLite is {sqlite3.sqlite_version}"
+            ) from exc
         self._conn.executescript(_SCHEMA)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -111,7 +190,7 @@ class EventLog:
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._progress = threading.Condition(self._lock)
-        self._buffer: deque[Event] = deque()
+        self._buffer: deque[tuple] = deque()
         self._next_seq = start_seq
         self._durable_seq = start_seq - 1
         self._closed = False
@@ -144,13 +223,32 @@ class EventLog:
     # ------------------------------------------------------------------
     # Producer API
     # ------------------------------------------------------------------
-    def append(self, event: Event) -> int:
-        """Buffer ``event``, assign and return its sequence number.
+    def log(self, kind: str, tick: int, payload: dict | None = None,
+            campaign_id=None, client=None, trace_id=None) -> int:
+        """Buffer one event row; assign and return its sequence number.
 
-        Blocks only when the buffer is full (backpressure, never loss).
-        The event is durable once :meth:`sync` returns — or, without an
-        explicit sync, shortly after the writer's next batch commits.
+        The row is a plain tuple and ``payload`` is encoded later, on the
+        writer thread, so the caller pays for a kind check and a buffer
+        append: do not mutate ``payload`` after logging it.  Blocks only
+        when the buffer is full (backpressure, never loss).  The event is
+        durable once :meth:`sync` returns — or, without an explicit sync,
+        shortly after the writer's next batch commits.
         """
+        check_kind(kind)
+        return self._push(
+            tick, kind, campaign_id, client, trace_id,
+            {} if payload is None else payload,
+        )
+
+    def append(self, event: Event) -> int:
+        """:meth:`log` for a prebuilt :class:`Event` (its ``seq`` is
+        ignored; the log assigns one)."""
+        return self._push(
+            event.tick, event.kind, event.campaign_id, event.client,
+            event.trace_id, event.payload,
+        )
+
+    def _push(self, tick, kind, campaign_id, client, trace_id, payload) -> int:
         with self._lock:
             self._raise_if_unusable()
             while len(self._buffer) >= self.buffer_size:
@@ -158,18 +256,18 @@ class EventLog:
                 self._raise_if_unusable()
             seq = self._next_seq
             self._next_seq += 1
-            self._buffer.append(dataclasses.replace(event, seq=seq))
+            self._buffer.append(
+                (seq, tick, kind, campaign_id, client, trace_id, payload)
+            )
             buffered = len(self._buffer)
         if self._m_appended is not None:
             self._m_appended.inc()
             self._m_buffered.set(buffered)
-        if buffered >= self.batch_size:
+        if buffered == self.batch_size:
+            # One wake per crossing: a writer with rows left after a
+            # commit wakes itself, so a fuller buffer needs no new signal.
             self._wake.set()
         return seq
-
-    def log(self, kind: str, tick: int, payload: dict | None = None, **cols) -> int:
-        """Convenience ``append``: build the :class:`Event` in place."""
-        return self.append(Event(kind=kind, tick=tick, payload=payload or {}, **cols))
 
     def flush(self) -> None:
         """Wake the writer to commit what is buffered; does not wait.
@@ -202,11 +300,8 @@ class EventLog:
         with self._lock:
             if self._closed:
                 return
-        if self._error is None:
-            try:
-                self.sync()
-            except EventLogError:
-                pass
+        with suppress(EventLogError):
+            self.sync()
         with self._lock:
             self._closed = True
             self._wake.set()
@@ -253,47 +348,8 @@ class EventLog:
             return self._error is None and not self._closed
 
     # ------------------------------------------------------------------
-    # Read API (separate read-only connections; WAL permits concurrent
-    # readers while the writer commits)
+    # Read API: events() and count() are inherited
     # ------------------------------------------------------------------
-    def events(
-        self,
-        since: int = 0,
-        kind: str | None = None,
-        limit: int | None = None,
-    ) -> list[Event]:
-        """Committed events with ``seq > since``, ascending.
-
-        ``kind`` filters to one event kind; ``limit`` caps the result.
-        Only committed events are visible — call :meth:`sync` first to
-        read everything appended.
-        """
-        if kind is not None and kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        sql = f"SELECT {_COLUMNS} FROM events WHERE seq > ?"
-        params: list = [since]
-        if kind is not None:
-            sql += " AND kind = ?"
-            params.append(kind)
-        sql += " ORDER BY seq"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(limit)
-        with self._read_conn() as conn:
-            return [Event.from_row(row) for row in conn.execute(sql, params)]
-
-    def count(self, kind: str | None = None) -> int:
-        """Number of committed events (optionally of one kind)."""
-        with self._read_conn() as conn:
-            if kind is None:
-                return conn.execute("SELECT COUNT(*) FROM events").fetchone()[0]
-            return conn.execute(
-                "SELECT COUNT(*) FROM events WHERE kind = ?", (kind,)
-            ).fetchone()[0]
-
-    def _read_conn(self):
-        return _closing_conn(self.path)
-
     @staticmethod
     def read(path) -> "_EventLogReader":
         """Open an existing log read-only (no writer thread) — what
@@ -332,12 +388,7 @@ class EventLog:
             if not batch:
                 continue
             try:
-                self._conn.executemany(
-                    "INSERT INTO events (seq, tick, kind, campaign_id, client, "
-                    "trace_id, payload) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    [(e.seq,) + e.to_row() for e in batch],
-                )
-                self._conn.commit()
+                self._commit(batch)
             except BaseException as exc:  # noqa: BLE001 — writer must not die silently
                 _LOG.error(
                     "event log writer failed", extra={"path": str(self.path)},
@@ -349,7 +400,7 @@ class EventLog:
                     self._progress.notify_all()
                 return
             with self._lock:
-                self._durable_seq = batch[-1].seq
+                self._durable_seq = batch[-1][0]
                 remaining = len(self._buffer)
                 self._not_full.notify_all()
                 self._progress.notify_all()
@@ -360,53 +411,18 @@ class EventLog:
             if remaining:
                 self._wake.set()
 
-
-class _EventLogReader:
-    """Read-only view over a log file; safe on logs of dead processes."""
-
-    def __init__(self, path) -> None:
-        self.path = pathlib.Path(path)
-        if not self.path.exists():
-            raise FileNotFoundError(f"no event log at {self.path}")
-
-    @property
-    def last_seq(self) -> int:
-        with _closing_conn(self.path) as conn:
-            row = conn.execute("SELECT MAX(seq) FROM events").fetchone()
-        return row[0] or 0
-
-    def events(self, since: int = 0, kind: str | None = None) -> list[Event]:
-        if kind is not None and kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        sql = f"SELECT {_COLUMNS} FROM events WHERE seq > ?"
-        params: list = [since]
-        if kind is not None:
-            sql += " AND kind = ?"
-            params.append(kind)
-        with _closing_conn(self.path) as conn:
-            return [
-                Event.from_row(row)
-                for row in conn.execute(sql + " ORDER BY seq", params)
-            ]
-
-    def count(self, kind: str | None = None) -> int:
-        with _closing_conn(self.path) as conn:
-            if kind is None:
-                return conn.execute("SELECT COUNT(*) FROM events").fetchone()[0]
-            return conn.execute(
-                "SELECT COUNT(*) FROM events WHERE kind = ?", (kind,)
-            ).fetchone()[0]
-
-
-class _closing_conn:
-    """Context manager: a short-lived read connection to ``path``."""
-
-    def __init__(self, path) -> None:
-        self._path = path
-
-    def __enter__(self) -> sqlite3.Connection:
-        self._conn = sqlite3.connect(self._path)
-        return self._conn
-
-    def __exit__(self, *exc_info) -> None:
-        self._conn.close()
+    def _commit(self, batch: list[tuple]) -> None:
+        """Insert ``batch`` in one statement (sqlite drops the GIL for it)
+        and commit; the rows equal ``(seq,) + Event(...).to_row()``."""
+        rows = _encode_batch([
+            (seq, int(tick), kind, campaign_id, client, trace_id,
+             encode_payload(payload))
+            for seq, tick, kind, campaign_id, client, trace_id, payload in batch
+        ])
+        if "\\u0000" in rows and any(
+            "\0" in column for row in batch for column in row[3:6]
+            if isinstance(column, str)
+        ):
+            raise ValueError("event columns may not contain NUL characters")
+        self._conn.execute(_INSERT, (rows,))
+        self._conn.commit()

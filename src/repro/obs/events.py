@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
-__all__ = ["EVENT_KINDS", "Event"]
+__all__ = ["EVENT_KINDS", "Event", "check_kind", "encode_payload"]
 
 #: Every kind the log accepts; appends with other kinds are rejected.
 EVENT_KINDS = (
@@ -47,6 +47,20 @@ EVENT_KINDS = (
     "checkpoint",
     "run",
 )
+
+#: The payload column's encoder: sorted keys, ``json.dumps`` defaults.
+#: :meth:`Event.to_row` and the log's writer thread share it, so a row
+#: is byte-identical whichever of the two encoded it.
+encode_payload = json.JSONEncoder(sort_keys=True).encode
+
+
+def check_kind(kind: str) -> None:
+    """Raise ``ValueError`` unless ``kind`` is in :data:`EVENT_KINDS`."""
+    if kind not in EVENT_KINDS:
+        raise ValueError(
+            f"unknown event kind {kind!r} "
+            f"(expected one of {', '.join(EVENT_KINDS)})"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,11 +81,7 @@ class Event:
     seq: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(
-                f"unknown event kind {self.kind!r} "
-                f"(expected one of {', '.join(EVENT_KINDS)})"
-            )
+        check_kind(self.kind)
 
     # ------------------------------------------------------------------
     # sqlite row conversion
@@ -85,7 +95,7 @@ class Event:
             self.campaign_id,
             self.client,
             self.trace_id,
-            json.dumps(self.payload, sort_keys=True),
+            encode_payload(self.payload),
         )
 
     @classmethod

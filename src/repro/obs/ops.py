@@ -49,6 +49,9 @@ __all__ = ["OpsServer"]
 ENDPOINTS = ("/metrics", "/healthz", "/readyz", "/tenants", "/slo")
 
 _MAX_REQUEST_BYTES = 8192
+#: Seconds a client gets to send its request line and headers before the
+#: server drops the connection (a stalled client must not pin a task).
+_READ_TIMEOUT_S = 10.0
 
 
 def _members(target) -> list:
@@ -315,9 +318,12 @@ class OpsServer:
             # header block: every wakeup of this loop steals a GIL slice
             # from the replaying thread, so fewer awaits per scrape is a
             # direct tax cut on the run being observed.
-            block = await reader.readuntil(b"\r\n\r\n")
+            block = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), _READ_TIMEOUT_S
+            )
             request = block.split(b"\r\n", 1)[0]
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
+                asyncio.TimeoutError):
             writer.close()
             return
         try:

@@ -176,16 +176,25 @@ def request_kind(request) -> str:
     return tag
 
 
+#: Field names per class: every request field is a scalar but ``spec``,
+#: whose fields are scalars, so a walk over these is ``dataclasses.asdict``
+#: (same keys, same order) without its recursive deep copy.
+_FIELD_NAMES = {
+    cls: tuple(field.name for field in dataclasses.fields(cls))
+    for cls in (*REQUEST_TYPES.values(), CampaignSpec)
+}
+
+
+def _fields(obj) -> dict:
+    return {name: getattr(obj, name) for name in _FIELD_NAMES[type(obj)]}
+
+
 def request_to_dict(request) -> dict:
     """Serialize one request to a JSON-ready tagged dict."""
-    tag = _TYPE_TAGS.get(type(request))
-    if tag is None:
-        raise TypeError(f"unknown request type {type(request).__name__}")
-    data = dataclasses.asdict(request)
-    spec = data.get("spec")
-    if spec is not None:
-        data["spec"] = dict(spec)
-    return {"type": tag, **data}
+    data = {"type": request_kind(request), **_fields(request)}
+    if data.get("spec") is not None:
+        data["spec"] = _fields(data["spec"])
+    return data
 
 
 def request_from_dict(data: dict) -> object:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -10,6 +12,7 @@ import pytest
 
 from repro.engine.campaign import CampaignSpec
 from repro.obs import EventLog, MetricsRegistry
+from repro.obs import ops as ops_module
 from repro.obs.ops import ENDPOINTS, OpsServer
 from repro.serve import Gateway, SubmitCampaign
 from tests.serve.conftest import make_engine
@@ -215,3 +218,24 @@ class TestThreadedServer:
         ops.start_in_thread()
         ops.close()
         ops.close()  # second close must be a no-op
+
+
+class TestStalledClient:
+    def test_partial_header_is_dropped_within_the_read_timeout(
+        self, monkeypatch
+    ):
+        """A client that never finishes its headers loses the connection
+        after the read timeout; the server keeps answering others."""
+        monkeypatch.setattr(ops_module, "_READ_TIMEOUT_S", 0.3)
+        ops = OpsServer(metrics=MetricsRegistry())
+        host, port = ops.start_in_thread()
+        try:
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+                started = time.monotonic()
+                assert sock.recv(1024) == b""  # closed by the server
+                assert time.monotonic() - started < 3.0
+            with urllib.request.urlopen(f"{ops.address}/healthz", timeout=5) as r:
+                assert r.status == 200
+        finally:
+            ops.close()
