@@ -7,7 +7,7 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
 .PHONY: test bench bench-kernels kernels-smoke bench-scenario bench-serve \
 	serve-smoke bench-obs obs-smoke ops-smoke bench-scale scale-smoke \
-	perfbench-smoke cov \
+	perfbench-smoke bench-pairs cov \
 	regen-golden docs-check checkpoint-smoke lint-docs all
 
 ## Tier-1 test suite (what CI gates on).
@@ -87,6 +87,19 @@ scale-smoke:
 ## fails here.  ~20s.
 perfbench-smoke:
 	$(PYTHON) -m pytest perfbench -q -p no:cacheprovider
+
+## Paired layer-benchmark runs for a perf claim: PAIRS alternating
+## untraced runs of WORKLOAD from the checkout BASE (e.g. the parent
+## commit) and from this one, then per-metric medians, quartiles, paired
+## win counts and the >= 9/10-wins-and-beyond-the-IQR gain rule.
+##   make bench-pairs BASE=../parent WORKLOAD=cheap-ticks PAIRS=10
+WORKLOAD ?= cheap-ticks
+PAIRS    ?= 10
+SEED     ?= 1
+SECONDS  ?= 25
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED) --seconds $(SECONDS)
 
 ## Coverage gate (CI): line coverage over src/repro with a ratcheted
 ## fail-under floor — raise the threshold when coverage rises, never

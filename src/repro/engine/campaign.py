@@ -107,6 +107,16 @@ class CampaignSpec:
         """Integer-cent price grid ``1 .. max_price``."""
         return np.arange(1.0, self.max_price + 1.0)
 
+    def to_dict(self) -> dict:
+        """The spec as a JSON-ready dict: ``dataclasses.asdict`` (same
+        keys, same order) without its recursive deep copy — every field
+        is a scalar.  ``CampaignSpec(**spec.to_dict())`` round-trips."""
+        return {name: getattr(self, name) for name in _SPEC_FIELDS}
+
+
+#: Field names in declaration order (the order ``asdict`` emits).
+_SPEC_FIELDS = tuple(field.name for field in dataclasses.fields(CampaignSpec))
+
 
 def validate_submission(
     new_specs: list["CampaignSpec"],
@@ -122,10 +132,11 @@ def validate_submission(
     for spec in new_specs:
         if spec.campaign_id in known_ids:
             raise ValueError(f"duplicate campaign_id {spec.campaign_id!r}")
-        if spec.end_interval > num_intervals:
+        end = spec.submit_interval + spec.horizon_intervals
+        if end > num_intervals:
             raise ValueError(
                 f"campaign {spec.campaign_id!r} runs to interval "
-                f"{spec.end_interval}, beyond the stream's {num_intervals}"
+                f"{end}, beyond the stream's {num_intervals}"
             )
         known_ids.add(spec.campaign_id)
 

@@ -307,7 +307,7 @@ def save_checkpoint(
         "engine": kind,
         "seed": core.seed,
         "config": config,
-        "specs": [dataclasses.asdict(s) for s in engine._specs],
+        "specs": [s.to_dict() for s in engine._specs],
         "admissions": [[t, list(ids)] for t, ids in core._admission_log],
         "clock": {
             "interval": core.clock,

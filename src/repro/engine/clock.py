@@ -45,6 +45,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import time
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -592,7 +593,12 @@ class EngineCore:
         # The materialized half of the pending frontier: an id index makes
         # cancellation O(1) — cancelled entries stay in the list as stale
         # husks (id no longer in the index) and are skipped at drain time.
-        self._pending = sorted(specs, key=_submission_key)
+        # Two stable passes give _submission_key order without building
+        # a key tuple per spec.
+        self._pending = sorted(
+            sorted(specs, key=attrgetter("campaign_id")),
+            key=attrgetter("submit_interval"),
+        )
         self._next_pending = 0
         self._pending_ids = {s.campaign_id for s in self._pending}
         # The lazy half: a one-spec lookahead over the source iterator.
@@ -1252,6 +1258,7 @@ class EngineBase(abc.ABC):
         """
         self.close()
         self.planner.cache.clear()
+        self.planner.clear_plans()
         self.planner.batch_solver.reset()
         backend = self._make_backend(seed, rng)
         sink = OutcomeSink(keep=keep_outcomes, spill_path=outcomes_path)

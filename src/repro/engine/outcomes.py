@@ -29,7 +29,6 @@ same fixed order, keeping them bit-identical across modes too.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -67,7 +66,7 @@ def outcome_record(outcome: CampaignOutcome, with_spec: bool = True) -> dict:
         "cancelled": outcome.cancelled,
     }
     if with_spec:
-        record["spec"] = dataclasses.asdict(outcome.spec)
+        record["spec"] = outcome.spec.to_dict()
     return record
 
 
@@ -95,9 +94,14 @@ def outcome_from_record(
     )
 
 
+#: One shared encoder: ``json.dumps`` with non-default arguments builds a
+#: fresh ``JSONEncoder`` on every call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical_bytes(record: dict) -> bytes:
     """The byte form the checksum chain and the spill file both write."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    return _CANONICAL.encode(record).encode()
 
 
 class OutcomeAggregate:

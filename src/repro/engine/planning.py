@@ -40,6 +40,12 @@ __all__ = ["CampaignPlanner", "PLANNING_MODES", "resolve_planning_means"]
 #: Supported planning-forecast modes.
 PLANNING_MODES = ("sliced", "stationary")
 
+#: Most distinct campaign shapes the plan memo holds before it starts
+#: over (each entry is one small request; a session's workload normally
+#: has a handful of shapes, but sliced planning keys on the submit
+#: interval too).
+_PLAN_MEMO_LIMIT = 4096
+
 
 def resolve_planning_means(
     planning_means: np.ndarray | None, stream_means: np.ndarray
@@ -187,6 +193,8 @@ class CampaignPlanner:
         self.truncation_eps = truncation_eps
         self.batch_solve = batch_solve
         self.batch_solver = batch_solver if batch_solver is not None else BatchPolicySolver()
+        # Campaign shape -> (signature, request); see plan().
+        self._plans: dict[tuple, tuple[tuple, DeadlineProblem | BudgetRequest]] = {}
 
     # ------------------------------------------------------------------
     # Planning inputs
@@ -224,15 +232,57 @@ class CampaignPlanner:
             price_grid=spec.price_grid(),
         )
 
+    def plan(
+        self, spec: CampaignSpec
+    ) -> tuple[tuple, DeadlineProblem | BudgetRequest]:
+        """A campaign shape's cache signature and solve request, memoised.
+
+        The request is :meth:`budget_request` or :meth:`planning_problem`
+        of ``spec``.  The memo key is exactly the spec fields those read
+        (the acceptance model, forecast and truncation threshold are fixed
+        per planner), so a repeated shape costs a dict lookup instead of
+        building, validating and hashing a fresh request.  Static
+        admissions and the gateway's quotes resolve through it; adaptive
+        admissions build their own problem for their repricer.  The memo
+        is dropped with the cache it fronts (:meth:`clear_plans`, called
+        by ``EngineBase.start``) and starts over past
+        ``_PLAN_MEMO_LIMIT`` shapes.
+        """
+        if spec.kind == BUDGET:
+            key = (BUDGET, spec.num_tasks, spec.max_price, spec.budget)
+            build = self.budget_request
+        else:
+            key = (
+                DEADLINE,
+                spec.num_tasks,
+                spec.max_price,
+                spec.penalty_per_task,
+                spec.horizon_intervals,
+                spec.submit_interval if self.planning == "sliced" else None,
+            )
+            build = self.planning_problem
+        plan = self._plans.get(key)
+        if plan is None:
+            request = build(spec)
+            plan = (request.signature(), request)
+            if len(self._plans) >= _PLAN_MEMO_LIMIT:
+                self._plans.clear()
+            self._plans[key] = plan
+        return plan
+
+    def clear_plans(self) -> None:
+        """Forget every memoised plan (a new serving session starts)."""
+        self._plans.clear()
+
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
     def admit(self, spec: CampaignSpec) -> _LiveCampaign:
         """Scalar path: solve (or fetch) one campaign's policy and go live."""
         if spec.kind == BUDGET:
-            request = self.budget_request(spec)
+            signature, request = self.plan(spec)
             allocation, hit = self.cache.get_or_solve(
-                request.signature(),
+                signature,
                 lambda: solve_budget_hull(
                     request.num_tasks,
                     request.budget,
@@ -242,14 +292,16 @@ class CampaignPlanner:
             )
             runtime: PricingRuntime = SemiStaticRuntime(allocation.as_semi_static())
             return _LiveCampaign(spec, runtime, hit, 0 if hit else 1)
-        problem = self.planning_problem(spec)
         if spec.adaptive:
             # Adaptive campaigns own their re-planning loop (and its private
             # suffix-solve cache); the shared cache only serves static ones.
-            repricer = AdaptiveRepricer(problem, resolve_every=spec.resolve_every)
+            repricer = AdaptiveRepricer(
+                self.planning_problem(spec), resolve_every=spec.resolve_every
+            )
             return _LiveCampaign(spec, repricer, False, 0)
+        signature, problem = self.plan(spec)
         policy, hit = self.cache.get_or_solve(
-            problem.signature(), lambda: solve_deadline(problem)
+            signature, lambda: solve_deadline(problem)
         )
         return _LiveCampaign(spec, TablePolicyRuntime(policy), hit, 0 if hit else 1)
 
@@ -273,14 +325,12 @@ class CampaignPlanner:
         budget_slots: list[int] = []
         for i, spec in enumerate(specs):
             if spec.kind == BUDGET:
-                request = self.budget_request(spec)
-                budget_items.append((request.signature(), request))
+                budget_items.append(self.plan(spec))
                 budget_slots.append(i)
             elif spec.adaptive:
                 live[i] = self.admit(spec)
             else:
-                problem = self.planning_problem(spec)
-                deadline_items.append((problem.signature(), problem))
+                deadline_items.append(self.plan(spec))
                 deadline_slots.append(i)
         if deadline_items:
             resolved = self.cache.get_or_solve_many(

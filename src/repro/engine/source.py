@@ -98,7 +98,7 @@ class ListSource(WorkloadSource):
         """Descriptor embedding every spec (small workloads only)."""
         return {
             "kind": "list",
-            "specs": [dataclasses.asdict(s) for s in self._specs],
+            "specs": [s.to_dict() for s in self._specs],
         }
 
 

@@ -214,14 +214,6 @@ class Gateway:
         # Admission-log entries already mirrored into the event log.
         self._admission_seen = 0
         self._started = False
-        # Quote-side memo: campaign shape -> cache signature.  Signatures
-        # are pure functions of the shape and the planner's (per-session
-        # constant) configuration, and computing one builds a full
-        # planning problem — far too slow to repeat for every quote of a
-        # popular shape on the read path.  Bounded (shapes are
-        # client-controlled): oldest entries are dropped past the cap.
-        self._quote_signatures: dict = {}
-        self._quote_signatures_cap = 1024
         self._pending_drain = DrainReport()
         self._pending_cancelled: list[CampaignOutcome] = []
         self._replay_trace: RequestTrace | None = None
@@ -456,34 +448,6 @@ class Gateway:
             f"not a read request: {type(request).__name__}"
         )
 
-    def _cached_quote_signature(self, spec):
-        """The shape's cache signature, memoized on the read path.
-
-        Keyed by everything the signature can depend on: the shape
-        itself, and — under ``"sliced"`` planning, where each submit
-        interval plans against its own forecast slice — the submit
-        interval too.  The planner's configuration is constant for the
-        session, so entries never go stale.
-        """
-        planner = self.engine.planner
-        key = (
-            spec.kind, spec.num_tasks, spec.horizon_intervals,
-            spec.max_price, spec.penalty_per_task, spec.budget,
-            spec.submit_interval if planner.planning == "sliced" else -1,
-        )
-        signature = self._quote_signatures.get(key)
-        if signature is None:
-            if spec.kind == BUDGET:
-                signature = planner.budget_request(spec).signature()
-            else:
-                signature = planner.planning_problem(spec).signature()
-            if len(self._quote_signatures) >= self._quote_signatures_cap:
-                # Clients control the shape space; drop the oldest entry
-                # (dicts iterate in insertion order) to stay bounded.
-                self._quote_signatures.pop(next(iter(self._quote_signatures)))
-            self._quote_signatures[key] = signature
-        return signature
-
     def _quote(self, request: Quote, core: EngineCore) -> Response:
         """Price a campaign shape from the cache without touching it.
 
@@ -496,18 +460,19 @@ class Gateway:
         spec = request.spec
         payload: dict = {"kind": spec.kind, "cached": False, "solved": False,
                          "price": None}
-        signature = self._cached_quote_signature(spec)
+        # Quotes share the planner's shape memo, so a popular shape is
+        # priced without rebuilding its planning problem.
+        signature, plan_request = planner.plan(spec)
         if spec.kind == BUDGET:
             allocation = planner.cache.peek(signature)
             if allocation is not None:
                 payload["cached"] = True
             elif request.solve_on_miss:
-                budget_request = planner.budget_request(spec)
                 allocation = solve_budget_hull(
-                    budget_request.num_tasks,
-                    budget_request.budget,
-                    budget_request.acceptance,
-                    budget_request.price_grid,
+                    plan_request.num_tasks,
+                    plan_request.budget,
+                    plan_request.acceptance,
+                    plan_request.price_grid,
                 )
                 payload["solved"] = True
             if allocation is not None:
@@ -519,7 +484,7 @@ class Gateway:
             if policy is not None:
                 payload["cached"] = True
             elif request.solve_on_miss:
-                policy = solve_deadline(planner.planning_problem(spec))
+                policy = solve_deadline(plan_request)
                 payload["solved"] = True
             if policy is not None:
                 payload["price"] = float(policy.price(spec.num_tasks, 0))

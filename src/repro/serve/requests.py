@@ -176,12 +176,13 @@ def request_kind(request) -> str:
     return tag
 
 
-#: Field names per class: every request field is a scalar but ``spec``,
-#: whose fields are scalars, so a walk over these is ``dataclasses.asdict``
-#: (same keys, same order) without its recursive deep copy.
+#: Field names per class: every request field is a scalar but ``spec``
+#: (serialized by :meth:`CampaignSpec.to_dict`), so a walk over these is
+#: ``dataclasses.asdict`` (same keys, same order) without its recursive
+#: deep copy.
 _FIELD_NAMES = {
     cls: tuple(field.name for field in dataclasses.fields(cls))
-    for cls in (*REQUEST_TYPES.values(), CampaignSpec)
+    for cls in REQUEST_TYPES.values()
 }
 
 
@@ -193,7 +194,7 @@ def request_to_dict(request) -> dict:
     """Serialize one request to a JSON-ready tagged dict."""
     data = {"type": request_kind(request), **_fields(request)}
     if data.get("spec") is not None:
-        data["spec"] = _fields(data["spec"])
+        data["spec"] = data["spec"].to_dict()
     return data
 
 
