@@ -28,7 +28,9 @@ is only rewritten by full runs.
 
 Besides the human-readable blocks under ``benchmarks/results/``, the
 fast-path run updates ``BENCH_engine.json`` at the repository root — the
-machine-readable record ``docs/performance.md`` explains how to read.
+machine-readable record ``docs/performance.md`` explains how to read.  Its
+shard-scaling arms carry the machine stamp of the layer benchmark
+(``perfbench/report.environment``: cores, Python, numpy, numba, commit).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -82,7 +85,12 @@ REQUIRED_MIN_CPS = 0.5 if SMOKE else 80.0
 SOLVE_BATCH = 64
 SOLVE_SHAPES = ((15, 9, 25), (40, 18, 30), (80, 30, 30), (25, 6, 40))
 
-BENCH_JSON = pathlib.Path(__file__).resolve().parents[1] / "BENCH_engine.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCH_JSON = ROOT / "BENCH_engine.json"
+#: The layer benchmark's machine stamp, read, never edited.
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import report  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +285,7 @@ def test_engine_fastpath_report(stream, emit):
             "campaigns": SHARD_CAMPAIGNS,
             "repeats": SHARD_REPEATS,
             "interleaved": True,
+            "machine": report.environment(ROOT),
             "required_min_campaigns_per_second": REQUIRED_MIN_CPS,
             "arms": [
                 {

@@ -79,7 +79,6 @@ from repro.market.acceptance import (
     LogitAcceptance,
 )
 from repro.sim.stream import SharedArrivalStream
-from repro.util import rngstate
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -170,17 +169,6 @@ def _router_from_dict(data: dict):
     if data["type"] == "uniform":
         return UniformRouter(acceptance)
     raise CheckpointError(f"unknown router type {data['type']!r}")
-
-
-def _generator_state(rng: np.random.Generator) -> dict:
-    return rngstate.generator_state(rng)
-
-
-def _generator_from_state(state: dict) -> np.random.Generator:
-    try:
-        return rngstate.generator_from_state(state)
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from exc
 
 
 def _adaptive_key(cid: str, index: int) -> str:

@@ -59,7 +59,7 @@ from repro.engine.campaign import (
 )
 from repro.engine.outcomes import OutcomeAggregate, OutcomeSink
 from repro.engine.planning import CampaignPlanner, _LiveCampaign
-from repro.engine.source import WorkloadSource
+from repro.engine.source import WorkloadSource, _submission_key
 from repro.sim.stream import SharedArrivalStream
 
 __all__ = [
@@ -83,11 +83,6 @@ class EngineError(RuntimeError):
     checkpoint bundle (which resumes bit-identically) rather than
     retrying the tick.
     """
-
-
-def _submission_key(spec: CampaignSpec) -> tuple[int, str]:
-    """Admission order: by submit interval, ties broken by campaign id."""
-    return (spec.submit_interval, spec.campaign_id)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -25,15 +25,21 @@ shard count and any executor — asserted cell by cell by
 backend's price/split/observe phases)::
 
     coordinator                              worker (one per shard)
-    ("prices", t)                  ------>   posted (cid, reward) pairs
-      sort globally, fractions     <------
-    ("step", (t, mean, fr, pr))    ------>   factored draws + completions
-      aggregate arrived            <------
+    ("prices", t)                  ------>   price-book gather
+      merge by cid, fractions      <------   posted price column
+    ("step", (t, mean, aq, cq))    ------>   factored draws + completions
+      aggregate arrived            <------   (considered, accepted)
     ("finish", (t, arrived))       ------>   observe + retire
-      stash outcomes               <------
+      drop retired ids, stash      <------   (positions, outcomes)
 
-``observe`` and ``retire`` ride one message because the clock always
-runs them back-to-back within a tick with nothing between.
+Every column is position-aligned with the worker's campaigns: the
+coordinator keeps each shard's campaign ids in that order
+(:class:`~repro.engine.sharding._ShardIds`), so a worker ships a bare
+float64 price column and receives only its own slices of the accept and
+consider fractions — no campaign id crosses a pipe after placement.  The
+worker keeps its posted column from ``"prices"`` for the ``"step"`` that
+follows.  ``observe`` and ``retire`` ride one message because the clock
+always runs them back-to-back within a tick with nothing between.
 
 **Failure model.**  A worker dying mid-tick (OOM kill, segfault, operator
 ``kill -9``) surfaces as a typed
@@ -69,8 +75,10 @@ from repro.engine.routing import ArrivalRouter
 from repro.engine.sharding import (
     _MARKET_STREAM,
     _Shard,
-    _ShardCampaign,
-    _campaign_rng,
+    _ShardIds,
+    _by_shard,
+    _live_id,
+    _restore_groups,
     shard_of,
 )
 from repro.sim.stream import SharedArrivalStream
@@ -98,9 +106,11 @@ def _worker_main(
 
     Runs the same :class:`_Shard` the in-process executors run; the seed
     re-derives each placed campaign's private generator, so placement by
-    message is indistinguishable from placement by direct call.  Handler
-    errors are reported back as ``("err", traceback)`` rather than
-    killing the worker, so a poisoned message never looks like a crash.
+    message is indistinguishable from placement by direct call.  The
+    price column of each ``"prices"`` is kept for the ``"step"`` after
+    it.  Handler errors are reported back as ``("err", traceback)``
+    rather than killing the worker, so a poisoned message never looks
+    like a crash.
     """
     # A fork-started worker inherits the coordinator's selection (and any
     # test harness substitution) already active; only re-resolve when the
@@ -108,6 +118,7 @@ def _worker_main(
     if kernels.active() != kernels_name:
         kernels.set_kernels(kernels_name)
     shard = _Shard(shard_index)
+    posted = None
     while True:
         try:
             tag, payload = conn.recv()
@@ -119,34 +130,26 @@ def _worker_main(
                 conn.send(("ok", None))
                 break
             elif tag == "place":
-                for live in payload:
-                    shard.campaigns.append(
-                        _ShardCampaign(
-                            live, _campaign_rng(seed, live.spec.campaign_id)
-                        )
-                    )
+                shard.place(payload, seed)
             elif tag == "restore":
-                for live, state in payload:
-                    shard.campaigns.append(
-                        _ShardCampaign(live, generator_from_state(state))
-                    )
+                shard.attach(
+                    [live for live, _ in payload],
+                    [generator_from_state(state) for _, state in payload],
+                )
             elif tag == "export":
-                result = [
-                    (c.live, generator_state(c.rng)) for c in shard.campaigns
-                ]
+                result = shard.export()
             elif tag == "prices":
                 # The three per-tick tags measure their own compute and
                 # ship it with the result: the coordinator's aggregate
                 # phase timers include IPC wait, the worker-side seconds
                 # are pure shard compute (PhaseTimings.record_shard).
                 started = time.perf_counter()
-                result = (
-                    shard.prices(payload), time.perf_counter() - started
-                )
+                posted = shard.prices(payload)
+                result = (posted, time.perf_counter() - started)
             elif tag == "step":
                 started = time.perf_counter()
                 result = (
-                    shard.step(*payload), time.perf_counter() - started
+                    shard.step(*payload, posted), time.perf_counter() - started
                 )
             elif tag == "finish":
                 t, arrived = payload
@@ -154,21 +157,9 @@ def _worker_main(
                 shard.observe(t, arrived)
                 result = (shard.retire(t), time.perf_counter() - started)
             elif tag == "cancel":
-                for i, c in enumerate(shard.campaigns):
-                    if c.live.spec.campaign_id == payload:
-                        del shard.campaigns[i]
-                        result = c.live.outcome(cancelled=True)
-                        break
+                result = shard.cancel(payload)
             elif tag == "live_stats":
-                result = [
-                    (
-                        c.live.spec.campaign_id,
-                        c.live.remaining,
-                        c.live.num_solves(),
-                        c.live.spec.adaptive,
-                    )
-                    for c in shard.campaigns
-                ]
+                result = shard.live_stats()
             else:
                 raise ValueError(f"unknown worker message {tag!r}")
             conn.send(("ok", result))
@@ -198,8 +189,8 @@ class _ProcessBackend(ClockBackend):
         self.num_shards = num_shards
         self.seed = seed
         self.market_rng = np.random.default_rng([seed, _MARKET_STREAM])
+        self.ids = _ShardIds(num_shards)
         self._workers: list[tuple] | None = None
-        self._live_count = 0
         self._retired_stash: list[CampaignOutcome] | None = None
 
     # ------------------------------------------------------------------
@@ -260,26 +251,30 @@ class _ProcessBackend(ClockBackend):
             )
         return result
 
-    def _broadcast(self, tag: str, payload) -> list:
-        """Send one message to every worker, then gather every reply.
+    def _scatter(self, tag: str, payloads: list) -> list:
+        """Send ``payloads[i]`` to worker ``i``, then gather every reply.
 
         All sends complete before the first receive, so the shard work
         overlaps across worker processes — this is the parallelism.
         """
         self._ensure_workers()
-        for index in range(self.num_shards):
+        for index, payload in enumerate(payloads):
             self._send(index, tag, payload)
         return [self._recv(index, tag) for index in range(self.num_shards)]
+
+    def _broadcast(self, tag: str, payload) -> list:
+        """:meth:`_scatter` of one payload to every worker."""
+        return self._scatter(tag, [payload] * self.num_shards)
 
     def _request(self, index: int, tag: str, payload):
         self._send(index, tag, payload)
         return self._recv(index, tag)
 
-    def _timed_broadcast(self, tag: str, payload, phase: str) -> list:
-        """Broadcast a per-tick tag; record each worker's shipped compute
+    def _timed_scatter(self, tag: str, payloads: list, phase: str) -> list:
+        """Scatter a per-tick tag; record each worker's shipped compute
         seconds as that shard's ``phase`` and return the bare results."""
         results = []
-        for shard_index, reply in enumerate(self._broadcast(tag, payload)):
+        for shard_index, reply in enumerate(self._scatter(tag, payloads)):
             result, elapsed = reply
             if self.phases is not None:
                 self.phases.record_shard(shard_index, phase, elapsed)
@@ -290,18 +285,15 @@ class _ProcessBackend(ClockBackend):
     # ClockBackend
     # ------------------------------------------------------------------
     def place(self, admitted) -> None:
-        groups: dict[int, list[_LiveCampaign]] = {}
-        for live in admitted:
-            index = shard_of(live.spec.campaign_id, self.num_shards)
-            groups.setdefault(index, []).append(live)
+        groups = _by_shard(admitted, _live_id, self.num_shards)
         for index, lives in groups.items():
             self._send(index, "place", lives)
-        for index in groups:
+        for index, lives in groups.items():
             self._recv(index, "place")
-        self._live_count += sum(len(lives) for lives in groups.values())
+            self.ids.extend(index, [_live_id(live) for live in lives])
 
     def num_live(self) -> int:
-        return self._live_count
+        return self.ids.count()
 
     def step(self, t: int, rate_factor: float = 1.0) -> tuple[int, int, int]:
         phases = self.phases
@@ -311,32 +303,22 @@ class _ProcessBackend(ClockBackend):
         # gathering round-tripped: fractions come from the canonically
         # sorted *global* price vector, so they are bit-identical to the
         # in-process executors'.
-        posted = [
-            pair
-            for shard_prices in self._timed_broadcast("prices", t, "price")
-            for pair in shard_prices
-        ]
-        posted.sort(key=lambda pair: pair[0])
-        price_vec = np.array([price for _, price in posted])
-        accept_q, consider_q = self.router.fractions(price_vec)
-        fractions = {
-            cid: (float(a), float(c))
-            for (cid, _), a, c in zip(posted, accept_q, consider_q)
-        }
-        prices = {cid: float(price) for cid, price in posted}
+        posted = self._timed_scatter("prices", [t] * self.num_shards, "price")
+        accept, consider, considered_mass = self.ids.fractions(self.router, posted)
         mean_t = self.stream.mean(t) * rate_factor
         if phases is not None:
             now = time.perf_counter()
             phases.record("price", now - phase_started)
             phase_started = now
         walked = int(
-            self.market_rng.poisson(
-                mean_t * max(1.0 - float(consider_q.sum()), 0.0)
-            )
+            self.market_rng.poisson(mean_t * max(1.0 - considered_mass, 0.0))
         )
-        # Phase 2 — every worker draws and applies its shard concurrently.
-        step_totals = self._timed_broadcast(
-            "step", (t, mean_t, fractions, prices), "split"
+        # Phase 2 — every worker draws and applies its shard concurrently,
+        # given only its own slices of the fractions.
+        step_totals = self._timed_scatter(
+            "step",
+            [(t, mean_t, a, c) for a, c in zip(accept, consider)],
+            "split",
         )
         considered = sum(c for c, _ in step_totals)
         accepted = sum(a for _, a in step_totals)
@@ -347,13 +329,13 @@ class _ProcessBackend(ClockBackend):
             phase_started = now
         # Phase 3 — observe + retire ride one message (the clock always
         # runs them back-to-back); outcomes are stashed for retire().
-        retired = [
-            outcome
-            for shard_outcomes in self._timed_broadcast(
-                "finish", (t, arrived), "observe"
-            )
-            for outcome in shard_outcomes
-        ]
+        finished = self._timed_scatter(
+            "finish", [(t, arrived)] * self.num_shards, "observe"
+        )
+        retired: list[CampaignOutcome] = []
+        for index, (positions, outcomes) in enumerate(finished):
+            self.ids.drop(index, positions)
+            retired.extend(outcomes)
         retired.sort(key=lambda o: o.spec.campaign_id)
         self._retired_stash = retired
         if phases is not None:
@@ -365,16 +347,17 @@ class _ProcessBackend(ClockBackend):
         if retired is None:
             return []
         self._retired_stash = None
-        self._live_count -= len(retired)
         return retired
 
     def cancel(self, campaign_id: str) -> CampaignOutcome | None:
         if self._workers is None:
             return None
         index = shard_of(campaign_id, self.num_shards)
-        outcome = self._request(index, "cancel", campaign_id)
-        if outcome is not None:
-            self._live_count -= 1
+        cancelled = self._request(index, "cancel", campaign_id)
+        if cancelled is None:
+            return None
+        position, outcome = cancelled
+        self.ids.drop(index, [position])
         return outcome
 
     def shard_health(self) -> list[dict] | None:
@@ -440,18 +423,10 @@ class _ProcessBackend(ClockBackend):
     def restore_live(
         self, placed: list[tuple[_LiveCampaign, dict | None]], rng_state: dict
     ) -> None:
-        groups: dict[int, list] = {}
-        for lc, state in placed:
-            if state is None:
-                raise ValueError(
-                    f"sharded bundle lost the generator state of campaign "
-                    f"{lc.spec.campaign_id!r}"
-                )
-            index = shard_of(lc.spec.campaign_id, self.num_shards)
-            groups.setdefault(index, []).append((lc, state))
-        for index, group in groups.items():
-            self._send(index, "restore", group)
-        for index in groups:
+        groups = _restore_groups(placed, self.num_shards)
+        for index, entries in groups.items():
+            self._send(index, "restore", entries)
+        for index, entries in groups.items():
             self._recv(index, "restore")
-        self._live_count += len(placed)
+            self.ids.extend(index, [_live_id(live) for live, _ in entries])
         self.market_rng = generator_from_state(rng_state)

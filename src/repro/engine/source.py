@@ -56,6 +56,7 @@ __all__ = [
 
 
 def _submission_key(spec: CampaignSpec) -> tuple[int, str]:
+    """Admission order: by submit interval, ties broken by campaign id."""
     return (spec.submit_interval, spec.campaign_id)
 
 

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import CampaignSpec
 from repro.engine.planning import _LiveCampaign
-from repro.engine.sharding import _Shard, _ShardCampaign, shard_of
+from repro.engine.sharding import _Shard, shard_of
 from repro.sim.stream import SharedArrivalStream
 
 means_vectors = st.lists(
@@ -93,17 +93,30 @@ def _shard_with(campaign_ids, num_tasks=1_000_000):
     """One shard owning fresh campaigns with counting generators."""
     shard = _Shard(0)
     counters = {}
+    lives = []
     for cid in campaign_ids:
         spec = CampaignSpec(
             campaign_id=cid, kind="deadline", num_tasks=num_tasks,
             submit_interval=0, horizon_intervals=64,
         )
-        live = _LiveCampaign(
+        lives.append(_LiveCampaign(
             spec, _InertRuntime(), cache_hit=False, initial_solves=0
-        )
+        ))
         counters[cid] = _CountingPoisson(seed=hash(cid) & 0xFFFF)
-        shard.campaigns.append(_ShardCampaign(live, counters[cid]))
+    shard.attach(lives, [counters[cid] for cid in campaign_ids])
     return shard, counters
+
+
+def _step(shard, t, mean, fractions, prices):
+    """``shard.step`` with id-keyed fractions/prices laid out as its columns."""
+    cids = [live.spec.campaign_id for live in shard.lives]
+    return shard.step(
+        t,
+        mean,
+        np.array([fractions[cid][0] for cid in cids], dtype=float),
+        np.array([fractions[cid][1] for cid in cids], dtype=float),
+        np.array([prices[cid] for cid in cids], dtype=float),
+    )
 
 
 fraction_pairs = st.lists(
@@ -134,7 +147,7 @@ class TestShardDrawDiscipline:
         }
         prices = {cid: 10.0 for cid in cids}
         for t in range(ticks):
-            shard.step(t, mean, fractions, prices)
+            _step(shard, t, mean, fractions, prices)
         for cid in cids:
             assert counters[cid].calls == 2 * ticks, (
                 f"{cid}: draw discipline broken — random streams would "
@@ -155,12 +168,12 @@ class TestShardDrawDiscipline:
             if index not in shards:
                 shards[index], _ = _shard_with([])
             shard, owned = _shard_with([cid])
-            shards[index].campaigns.extend(shard.campaigns)
+            shards[index].attach(shard.lives, shard.rngs)
             counters.update(owned)
         fractions = {cid: (0.01, 0.02) for cid in cids}
         prices = {cid: 10.0 for cid in cids}
         for shard in shards.values():
-            shard.step(0, 1000.0, fractions, prices)
+            _step(shard, 0, 1000.0, fractions, prices)
         assert all(counters[cid].calls == 2 for cid in cids)
 
     def test_zero_fraction_campaign_still_draws_twice(self):
@@ -170,11 +183,11 @@ class TestShardDrawDiscipline:
         shard, counters = _shard_with(["zero", "busy"])
         fractions = {"zero": (0.0, 0.0), "busy": (0.2, 0.4)}
         prices = {"zero": 5.0, "busy": 5.0}
-        considered, accepted = shard.step(0, 2000.0, fractions, prices)
+        considered, accepted = _step(shard, 0, 2000.0, fractions, prices)
         assert counters["zero"].calls == 2
         assert counters["busy"].calls == 2
         assert accepted <= considered
 
     def test_empty_shard_draws_nothing(self):
         shard, _ = _shard_with([])
-        assert shard.step(0, 1000.0, {}, {}) == (0, 0)
+        assert _step(shard, 0, 1000.0, {}, {}) == (0, 0)
